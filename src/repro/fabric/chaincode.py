@@ -116,10 +116,16 @@ class Contract:
                 found[attr_name] = member
         return found
 
+    def _function(self, activity: str) -> Callable[..., Any] | None:
+        """The bound contract function named ``activity``, or ``None``."""
+        function = getattr(self, activity, None)
+        if callable(function) and getattr(function, "__contract_function__", False):
+            return function
+        return None
+
     def has_function(self, activity: str) -> bool:
         """Whether ``activity`` names a registered contract function."""
-        function = getattr(self, activity, None)
-        return callable(function) and getattr(function, "__contract_function__", False)
+        return self._function(activity) is not None
 
     def invoke(self, ctx: ChaincodeContext, activity: str, args: tuple[Any, ...]) -> Any:
         """Execute ``activity`` with ``args`` against ``ctx``.
@@ -127,9 +133,9 @@ class Contract:
         Raises :class:`UnknownFunctionError` for unknown activities and lets
         :class:`ChaincodeAbort` propagate to the endorser.
         """
-        if not self.has_function(activity):
+        function = self._function(activity)
+        if function is None:
             raise UnknownFunctionError(f"{self.name} has no function {activity!r}")
-        function = getattr(self, activity)
         return function(ctx, *args)
 
     def setup(self, state: WorldState) -> None:

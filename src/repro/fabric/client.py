@@ -28,6 +28,8 @@ class ClientPool:
         self._rr_in_org: dict[str, int] = {}
         self._rr_orgs = 0
         self._org_names: list[str] = []
+        #: Memoised :meth:`org_of` answers, keyed by client name.
+        self._org_of: dict[str, str] = {}
         for org in config.orgs:
             servers = [Server(kernel, name) for name in org.client_names()]
             self._clients_by_org[org.name] = servers
@@ -59,7 +61,9 @@ class ClientPool:
 
     def org_of(self, client_name: str) -> str:
         """Organization that owns ``client_name``."""
-        org, _, _ = client_name.rpartition("-client")
+        org = self._org_of.get(client_name)
+        if org is None:
+            org = self._org_of[client_name] = client_name.rpartition("-client")[0]
         return org
 
     def propose(self, client: Server, on_done: Callable[[float], None]) -> None:

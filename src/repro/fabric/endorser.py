@@ -28,7 +28,7 @@ from repro.fabric.state import StateDatabase
 from repro.fabric.transaction import Transaction
 from repro.sim.kernel import Kernel
 from repro.sim.resources import Server
-from repro.sim.rng import SimRng, WeightedSampler, zipf_weights
+from repro.sim.rng import PREFETCH_BLOCK, SimRng, WeightedSampler, zipf_weights
 
 
 class EndorserPool:
@@ -68,21 +68,20 @@ class EndorserPool:
                 f"with orgs {sorted(self._peers_by_org)}"
             )
         self._weights = zipf_weights(len(self._alternatives), self._selection_skew)
-        # Hot-path caches: the selection draw goes through a precomputed-CDF
-        # sampler (bit-identical to ``choice(n, p=weights)``, built once),
-        # and the endorsement service time per (contract, activity) pair is
-        # a pure function of static config, so it is computed at most once.
-        # Under the batch kernel tier the sampler prefetches uniforms in
-        # vectorized blocks — safe because "endorser-selection" is a
-        # dedicated stream with this sampler as its only consumer, and
-        # bit-identical because array fills and scalar draws consume the
-        # PCG64 stream identically (see WeightedSampler.draw_array).
-        from repro.sim.batch import BatchKernel
-
+        # Hot-path caches, all fixed by static config:
+        # * each alternative's orgs in sorted order, the order endorsements
+        #   are requested in;
+        # * the selection sampler's precomputed CDF (bit-identical to
+        #   ``choice(n, p=weights)``).  It prefetches uniforms in vectorized
+        #   blocks — safe because "endorser-selection" is a dedicated stream
+        #   with this sampler as its only consumer, and bit-identical
+        #   because array fills and scalar draws consume the PCG64 stream
+        #   identically (see WeightedSampler.draw_array);
+        # * the endorsement service time per (contract, activity) pair,
+        #   computed at most once.
+        self._sorted_alternatives = [tuple(sorted(alt)) for alt in self._alternatives]
         self._selection = WeightedSampler(
-            rng.stream("endorser-selection"),
-            self._weights,
-            prefetch=256 if isinstance(kernel, BatchKernel) else 0,
+            rng.stream("endorser-selection"), self._weights, prefetch=PREFETCH_BLOCK
         )
         self._service_time_cache: dict[tuple[str, str], float] = {}
 
@@ -114,11 +113,16 @@ class EndorserPool:
         return self._alternatives[self._selection.draw()]
 
     def _least_loaded_peer(self, org: str) -> Server | None:
-        """The org's least busy *reachable* peer, or ``None`` if all are down."""
-        peers = [p for p in self._peers_by_org[org] if p.enabled]
-        if not peers:
-            return None
-        return min(peers, key=lambda p: p.busy_until)
+        """The org's least busy *reachable* peer, or ``None`` if all are down.
+
+        On equal ``busy_until`` the first peer in configuration order wins,
+        as with ``min(key=...)``.
+        """
+        best = None
+        for peer in self._peers_by_org[org]:
+            if peer.enabled and (best is None or peer.busy_until < best.busy_until):
+                best = peer
+        return best
 
     def endorse(
         self,
@@ -133,39 +137,43 @@ class EndorserPool:
         the client, or ``on_abort(time, reason)`` if the chaincode
         early-aborts the transaction (pruned contracts).
         """
-        orgs = sorted(self.select_orgs())
-        endorsing: list[tuple[str, Server]] = []
+        orgs = self._sorted_alternatives[self._selection.draw()]
+        timeout = self._timing.endorse_timeout
+        peers: list[Server] = []
         missing: list[str] = []
         reasons: list[str] = []
+        # The earliest-starting peer executes the chaincode and produces the
+        # read-write set (endorsers are deterministic, so one execution
+        # stands for all); on a tie the first endorsing org's peer wins.
+        executor = None
         for org in orgs:
             peer = self._least_loaded_peer(org)
             if peer is None:
                 missing.append(org)
                 reasons.append("crashed")
-            elif peer.queue_delay() > self._timing.endorse_timeout:
+            elif peer.queue_delay() > timeout:
                 missing.append(org)
                 reasons.append("timeout")
             else:
-                endorsing.append((org, peer))
+                peers.append(peer)
+                if executor is None or peer.busy_until < executor.busy_until:
+                    executor = peer
 
         tx.missing_endorsements = tuple(missing)
         tx.missing_reasons = tuple(reasons)
-        if not endorsing:
+        kernel = self._kernel
+        if executor is None:
             # Every selected org timed out or crashed; the client submits an
             # envelope with no endorsements at all, doomed to a policy failure.
             tx.endorsers = ()
-            self._kernel.schedule_in(
+            kernel.schedule_in(
                 self._conditions.network_delay(tx.invoker_org),
-                lambda: on_done(self._kernel.now),
+                lambda: on_done(kernel.now),
             )
             return
 
-        tx.endorsers = tuple(peer.name for _, peer in endorsing)
-        # The earliest-starting peer executes the chaincode and produces the
-        # read-write set (endorsers are deterministic, so one execution
-        # stands for all).
-        executor = min(endorsing, key=lambda item: item[1].busy_until)[1]
-        pending = len(endorsing)
+        tx.endorsers = tuple([peer.name for peer in peers])
+        pending = len(peers)
         aborted: list[str] = []
         cache_key = (tx.contract, tx.activity)
         service_time = self._service_time_cache.get(cache_key)
@@ -189,13 +197,12 @@ class EndorserPool:
                 return
             done_at = finish_time + self._conditions.network_delay(tx.invoker_org)
             if aborted:
-                self._kernel.schedule(done_at, lambda: on_abort(self._kernel.now, aborted[0]))
+                kernel.schedule(done_at, lambda: on_abort(kernel.now, aborted[0]))
             else:
-                self._kernel.schedule(done_at, lambda: on_done(self._kernel.now))
+                kernel.schedule(done_at, lambda: on_done(kernel.now))
 
-        for _, peer in endorsing:
-            on_start = execute if peer is executor else None
-            peer.submit(service_time, peer_done, on_start=on_start)
+        for peer in peers:
+            peer.submit(service_time, peer_done, on_start=execute if peer is executor else None)
 
     def _execute_chaincode(self, tx: Transaction) -> None:
         contract = self._contracts.get(tx.contract)

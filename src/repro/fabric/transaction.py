@@ -108,7 +108,7 @@ class ReadWriteSet:
         Priority: delete > range read > update (read-modify-write) >
         write > read — matching how the paper derives attribute 8.
         """
-        if any(value == DELETED for value in self.writes.values()):
+        if DELETED in self.writes.values():
             return TxType.DELETE
         if self.range_queries:
             return TxType.RANGE_READ
@@ -121,9 +121,8 @@ class ReadWriteSet:
     def estimated_bytes(self) -> int:
         """Rough payload size used by the block-bytes cutting rule."""
         size = 160  # envelope overhead: signatures, creator, channel header
-        for key, version in self.reads.items():
+        for key in self.reads:
             size += len(key) + 16
-            del version
         for key, value in self.writes.items():
             size += len(key) + len(str(value))
         for query in self.range_queries:
@@ -214,6 +213,7 @@ class Transaction:
     def estimated_bytes(self) -> int:
         """Envelope size including args and endorsement signatures."""
         size = self.rwset.estimated_bytes()
-        size += sum(len(arg_str) for arg_str in map(str, self.args))
+        for arg in self.args:
+            size += len(str(arg))
         size += 64 * max(1, len(self.endorsers))
         return size

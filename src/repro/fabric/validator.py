@@ -47,8 +47,8 @@ def rwset_conflict(namespace, rwset: ReadWriteSet) -> tuple[TxStatus, str] | Non
             key: entry.version for key, entry in namespace.range_scan(query.start, query.end)
         }
         recorded = dict(query.results)
-        if set(current_scan) != set(recorded):
-            changed = min(set(current_scan) ^ set(recorded))
+        if current_scan.keys() != recorded.keys():
+            changed = min(current_scan.keys() ^ recorded.keys())
             return TxStatus.PHANTOM_CONFLICT, changed
         for key, read_version in recorded.items():
             if current_scan[key] != read_version:
@@ -137,7 +137,7 @@ class ValidationPipeline:
             tx.commit_time = now
             self.status_counts[status] += 1
             if status is TxStatus.SUCCESS:
-                self._apply_writes(tx, Version(block=block_number, tx=index))
+                self._apply_writes(tx, Version(block_number, index))
 
         block = Block(
             number=block_number,

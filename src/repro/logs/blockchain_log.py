@@ -131,10 +131,10 @@ def validate_record(record: LogRecord, last_order: int = -1) -> None:
     """
     if record.commit_order <= last_order:
         raise ValueError(f"commit order not strictly increasing at tx {record.tx_id}")
-    missing = set(record.writes) - set(record.write_keys)
+    missing = record.writes.keys() - record.write_keys
     if missing:
         raise ValueError(f"write values without keys in tx {record.tx_id}: {missing}")
-    unread = set(record.read_versions) - set(record.read_keys)
+    unread = record.read_versions.keys() - record.read_keys
     if unread:
         raise ValueError(f"read versions without keys in tx {record.tx_id}: {unread}")
 
@@ -160,12 +160,20 @@ def record_from_transaction(tx: "Transaction", order: int, block_position: int) 
     ledger path can convert blocks as they commit without importing the
     network layer.
     """
-    read_versions = {key: (v.block, v.tx) for key, v in tx.rwset.reads.items()}
-    read_keys = set(tx.rwset.reads)
-    for query in tx.rwset.range_queries:
-        for key, version in query.results:
-            read_keys.add(key)
-            read_versions.setdefault(key, (version.block, version.tx))
+    rwset = tx.rwset
+    reads = rwset.reads
+    range_queries = rwset.range_queries
+    read_versions = {key: (v.block, v.tx) for key, v in reads.items()}
+    read_keys = reads.keys()
+    range_reads: tuple[tuple[str, str], ...] = ()
+    if range_queries:
+        read_keys = set(read_keys)
+        for query in range_queries:
+            for key, version in query.results:
+                read_keys.add(key)
+                read_versions.setdefault(key, (version.block, version.tx))
+        range_reads = tuple([(query.start, query.end) for query in range_queries])
+    writes = rwset.writes
     return LogRecord(
         commit_order=order,
         tx_id=tx.tx_id,
@@ -176,14 +184,12 @@ def record_from_transaction(tx: "Transaction", order: int, block_position: int) 
         invoker=tx.invoker_client,
         invoker_org=tx.invoker_org,
         read_keys=tuple(sorted(read_keys)),
-        write_keys=tuple(sorted(tx.rwset.write_keys)),
-        writes=dict(tx.rwset.writes),
+        write_keys=tuple(sorted(writes)),
+        writes=dict(writes),
         read_versions=read_versions,
-        range_reads=tuple(
-            (query.start, query.end) for query in tx.rwset.range_queries
-        ),
+        range_reads=range_reads,
         status=tx.status,
-        tx_type=tx.tx_type,
+        tx_type=rwset.derive_type(),
         block_number=tx.block_number if tx.block_number is not None else -1,
         block_position=block_position,
         commit_time=tx.commit_time if tx.commit_time is not None else -1.0,

@@ -22,6 +22,10 @@ tuple comparison always resolves within the first three (C-compared)
 elements and ``heapq`` never calls back into Python — the profiled
 ``Event.__lt__`` hot spot of the dataclass-based heap.  The :class:`Event`
 object in the last slot is the cancellation handle returned to callers.
+:meth:`Kernel.run` has a separate loop for the dominant unbounded call
+that pops without peeking; it must fire the same events in the same order
+as the bounded loop (``tests/test_hot_path_semantics.py``), and the event
+traces of three canonical runs are pinned in ``tests/golden/``.
 
 This class is the **reference tier**.  :mod:`repro.sim.batch` provides a
 drop-in ``batch`` tier (:class:`~repro.sim.batch.BatchKernel`) that
@@ -211,10 +215,26 @@ class Kernel:
 
         The loop body is the hottest code in the simulator; locals are
         hoisted and the heap entries unpacked in place so a fired event
-        costs one ``heappop`` plus the callback itself.
+        costs one ``heappop`` plus the callback itself.  The dominant call
+        shape, ``run()`` with neither bound, pops directly without peeking
+        at the heap top; each fired or skipped event is handled exactly as
+        in the bounded loop.
         """
         heap = self._heap
         pop = heappop
+        if until is None and max_events is None:
+            while heap:
+                time, priority, seq, event = pop(heap)
+                event.popped = True
+                if event.cancelled:
+                    continue
+                self._live -= 1
+                self._now = time
+                self._processed += 1
+                if self._trace is not None:
+                    self._trace.append((time, priority, seq))
+                event.action()
+            return
         while heap:
             if max_events is not None and self._processed >= max_events:
                 return

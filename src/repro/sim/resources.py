@@ -104,23 +104,30 @@ class Server:
         if service_time < 0:
             raise ValueError(f"negative service time {service_time!r}")
         service_time *= self._service_multiplier
-        now = self.kernel.now
-        start = max(now, self._busy_until)
+        kernel = self.kernel
+        now = kernel.now
+        # ``max(now, busy)`` without the builtin call: on a tie both pick
+        # ``now``, so the start time is the same float.
+        busy = self._busy_until
+        start = busy if busy > now else now
         finish = start + service_time
         self._busy_until = finish
 
-        self.stats.jobs += 1
-        self.stats.busy_time += service_time
-        self.stats.total_wait += start - now
-        self._queue_len += 1
-        self.stats.max_queue = max(self.stats.max_queue, self._queue_len)
+        stats = self.stats
+        stats.jobs += 1
+        stats.busy_time += service_time
+        stats.total_wait += start - now
+        queue_len = self._queue_len + 1
+        self._queue_len = queue_len
+        if queue_len > stats.max_queue:
+            stats.max_queue = queue_len
 
         if on_start is not None:
-            self.kernel.schedule(start, lambda: on_start(start))
+            kernel.schedule(start, lambda: on_start(start))
 
         def _complete() -> None:
             self._queue_len -= 1
             on_done(finish)
 
-        self.kernel.schedule(finish, _complete)
+        kernel.schedule(finish, _complete)
         return finish

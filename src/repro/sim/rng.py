@@ -16,6 +16,9 @@ import numpy as np
 
 T = TypeVar("T")
 
+#: Uniforms a prefetching :class:`WeightedSampler` draws per vectorized refill.
+PREFETCH_BLOCK = 256
+
 
 def zipf_weights(n: int, skew: float) -> np.ndarray:
     """Normalized Zipf weights over ranks ``1..n``.
@@ -51,9 +54,11 @@ class WeightedSampler:
     arrays element by element with the same ``next_double`` path scalar
     ``random()`` uses, so the draw *values* are bit-identical — but the
     generator advances ahead of consumption, so prefetching is only safe
-    when this sampler is the stream's **exclusive** consumer (true for the
-    dedicated ``endorser-selection`` stream; the batch kernel tier enables
-    it there and nowhere else).
+    when this sampler is the stream's **exclusive** consumer.  That holds
+    for the endorser pool's dedicated ``endorser-selection`` stream and for
+    the synthetic request generator's per-name streams, which prefetch on
+    every kernel tier.  ``SimRng.zipf_index`` cannot know who else draws
+    from its stream, so its samplers never prefetch.
     """
 
     __slots__ = ("_generator", "_cdf", "_prefetch", "_buffer", "_cursor")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.contracts.registry import ContractDeployment, genchain_family
 from repro.fabric.config import NetworkConfig
 from repro.fabric.transaction import TxRequest
-from repro.sim.rng import SimRng, WeightedSampler
+from repro.sim.rng import PREFETCH_BLOCK, SimRng, WeightedSampler, zipf_weights
 from repro.workloads.schedule import (
     constant_rate_times,
     phased_times,
@@ -109,26 +109,43 @@ def iter_synthetic_requests(spec: ControlVariables, contract_name: str):
 
     times = _submit_time_stream(spec)
     invokers = _invoker_org_stream(spec, rng)
-    activity_sampler = WeightedSampler(rng.stream("activity-mix"), weights)
+    # Each named stream below is drawn by exactly one sampler, built here on
+    # this generator's own SimRng, so the samplers may prefetch: the draws
+    # are bit-identical to scalar ones (see WeightedSampler).
+    activity_sampler = WeightedSampler(
+        rng.stream("activity-mix"), weights, prefetch=PREFETCH_BLOCK
+    )
     exponent = zipf_exponent(spec.key_dist_skew)
+    key_samplers: dict[str, WeightedSampler] = {}
+
+    def key_rank(stream: str) -> int:
+        sampler = key_samplers.get(stream)
+        if sampler is None:
+            sampler = key_samplers[stream] = WeightedSampler(
+                rng.stream(stream),
+                zipf_weights(spec.num_keys, exponent),
+                prefetch=PREFETCH_BLOCK,
+            )
+        return sampler.draw()
+
     insert_counter = 0
     for index in range(spec.total_transactions):
         activity = activities[activity_sampler.draw()]
         if activity == "write":
             # Inserts: fresh keys interleaved into the existing key space so
             # range windows see new members (phantoms).
-            rank = rng.zipf_index("insert-rank", spec.num_keys, exponent)
+            rank = key_rank("insert-rank")
             args: tuple = (f"key{rank:06d}x{insert_counter:06d}", index)
             insert_counter += 1
         elif activity == "range_read":
-            start = rng.zipf_index("range-start", spec.num_keys, exponent)
+            start = key_rank("range-start")
             end = min(start + RANGE_WINDOW, spec.num_keys)
             args = (f"key{start:06d}", f"key{end:06d}")
         elif activity == "update":
-            rank = rng.zipf_index(f"key-{activity}", spec.num_keys, exponent)
+            rank = key_rank(f"key-{activity}")
             args = (f"key{rank:06d}", index)
         else:
-            rank = rng.zipf_index(f"key-{activity}", spec.num_keys, exponent)
+            rank = key_rank(f"key-{activity}")
             args = (f"key{rank:06d}",)
         yield TxRequest(
             submit_time=next(times),
