@@ -108,10 +108,6 @@ class EndorserPool:
             f"({sorted(self._peers_by_org)}) or a peer name"
         )
 
-    def select_orgs(self) -> frozenset[str]:
-        """Choose the endorsing orgs for one transaction."""
-        return self._alternatives[self._selection.draw()]
-
     def _least_loaded_peer(self, org: str) -> Server | None:
         """The org's least busy *reachable* peer, or ``None`` if all are down.
 

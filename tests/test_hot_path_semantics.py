@@ -435,15 +435,17 @@ def test_executor_is_the_earliest_starting_peer(submit_spy):
     assert tx.endorse_time == 0.2
 
 
-def test_single_org_alternatives_draw_like_select_orgs():
+def test_prefetched_selection_draws_like_generator_choice():
+    # Org selection draws from the dedicated "endorser-selection" stream;
+    # prefetching must reproduce the unbuffered ``choice(n, p=weights)``.
     kernel, pool = _pool(policy="OutOf(1,Org1,Org2)")
-    _, twin = _pool(policy="OutOf(1,Org1,Org2)")
     drawn = []
-    for index in range(40):
+    for index in range(600):  # more than two prefetch refills
         tx = _tx(index)
         pool.endorse(tx, on_done=lambda t: None, on_abort=lambda t, r: None)
         drawn.append(tx.endorsers[0].rpartition("-peer")[0])
     kernel.run()
-    expected = [next(iter(twin.select_orgs())) for _ in range(40)]
+    stream = SimRng(7).stream("endorser-selection")
+    expected = [("Org1", "Org2")[int(stream.choice(2, p=[0.5, 0.5]))] for _ in drawn]
     assert drawn == expected
     assert set(drawn) == {"Org1", "Org2"}
