@@ -19,6 +19,7 @@ block-cut time, which is where the real systems intervene.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Protocol
 
 from repro.fabric.transaction import Transaction
@@ -33,10 +34,6 @@ class Scheduler(Protocol):
         """Return the batch to include in the block and the aborted txs."""
         ...
 
-    def observe_commit(self, tx: Transaction, block: int) -> None:
-        """Called after a transaction commits (for window bookkeeping)."""
-        ...
-
 
 class FifoScheduler:
     """Vanilla Fabric: arrival order, no aborts."""
@@ -47,17 +44,32 @@ class FifoScheduler:
         """Pass the batch through unchanged."""
         return list(batch), []
 
-    def observe_commit(self, tx: Transaction, block: int) -> None:
-        """No bookkeeping needed."""
-        del tx, block
 
+def _precedence(batch: list[Transaction]) -> tuple[list[set[int]], list[list[int]]]:
+    """Reader-before-writer precedence graph of a batch, by arrival index.
 
-def _reads_of(tx: Transaction) -> frozenset[str]:
-    return tx.rwset.read_keys
-
-
-def _writes_of(tx: Transaction) -> frozenset[str]:
-    return tx.rwset.write_keys
+    ``successors[i]`` holds every other transaction that writes a key
+    ``i`` reads (``i`` must precede it); ``predecessors[j]`` lists the
+    ``i`` whose successor set holds ``j``, so its length is ``j``'s
+    in-degree.  A ``key -> writers`` index visits only pairs that share a
+    key, and the sets collapse multi-key pairs to one edge.
+    """
+    writers: dict[str, list[int]] = {}
+    for j, tx in enumerate(batch):
+        for key in tx.rwset.writes:
+            writers.setdefault(key, []).append(j)
+    successors: list[set[int]] = []
+    predecessors: list[list[int]] = [[] for _ in batch]
+    for i, tx in enumerate(batch):
+        after: set[int] = set()
+        for key in tx.rwset.read_keys:
+            if key in writers:
+                after.update(writers[key])
+        after.discard(i)
+        for j in after:
+            predecessors[j].append(i)
+        successors.append(after)
+    return successors, predecessors
 
 
 class FabricPlusPlusScheduler:
@@ -65,9 +77,17 @@ class FabricPlusPlusScheduler:
 
     Within a batch, transaction ``r`` must precede ``w`` whenever ``w``
     writes a key ``r`` reads (otherwise ``w``'s in-block commit bumps the
-    version and invalidates ``r``).  We build that precedence graph, break
-    cycles greedily by aborting the transaction with the highest conflict
-    degree, and emit a topological order of the survivors.
+    version and invalidates ``r``).  We build that precedence graph and
+    emit a topological order (Kahn's algorithm, always releasing the
+    earliest-arrived ready transaction).  When no transaction is ready,
+    a cycle remains: we abort the remaining transaction with the highest
+    conflict degree (remaining successors plus remaining predecessors),
+    the later arrival winning a tie.
+
+    Cost: one step per (reader, writer, shared key) triple to build the
+    graph, O(n log n + edges) for Kahn's algorithm, and an O(n) scan per
+    abort to find the victim — O(n^2) on a hot-key clique, where every
+    step is an abort.
     """
 
     def schedule(
@@ -77,48 +97,42 @@ class FabricPlusPlusScheduler:
         if len(batch) <= 1:
             return list(batch), []
 
-        # Precedence edges: reader -> writer (reader must come first).
-        successors: dict[int, set[int]] = {i: set() for i in range(len(batch))}
-        predecessors: dict[int, set[int]] = {i: set() for i in range(len(batch))}
-        reads = [_reads_of(tx) for tx in batch]
-        writes = [_writes_of(tx) for tx in batch]
-        for i in range(len(batch)):
-            for j in range(len(batch)):
-                if i == j:
-                    continue
-                if writes[j] & reads[i]:
-                    successors[i].add(j)
-                    predecessors[j].add(i)
-
-        alive = set(range(len(batch)))
-        aborted: list[int] = []
+        successors, predecessors = _precedence(batch)
+        n = len(batch)
+        indegree = [len(before) for before in predecessors]
+        degree = [len(after) + d for after, d in zip(successors, indegree)]
+        alive = [True] * n
+        ready = [i for i in range(n) if not indegree[i]]  # sorted: a heap
         order: list[int] = []
-        # Kahn's algorithm with greedy cycle-breaking: when no source node
-        # exists, abort the most conflicted remaining transaction.
-        indegree = {i: len(predecessors[i] & alive) for i in alive}
-        while alive:
-            sources = sorted(i for i in alive if indegree[i] == 0)
-            if sources:
-                node = sources[0]
+        aborted: list[int] = []
+        for _ in range(n):
+            if ready:
+                node = heappop(ready)
                 order.append(node)
             else:
+                # Scanning latest-first makes max() keep the later arrival
+                # on a degree tie.
                 node = max(
-                    alive,
-                    key=lambda i: (len(successors[i] & alive) + indegree[i], i),
+                    filter(alive.__getitem__, range(n - 1, -1, -1)),
+                    key=degree.__getitem__,
                 )
                 aborted.append(node)
-            alive.discard(node)
+                # A ready node has no remaining predecessors, so only a
+                # victim lowers its predecessors' out-degrees.
+                for pred in predecessors[node]:
+                    if alive[pred]:
+                        degree[pred] -= 1
+            alive[node] = False
             for succ in successors[node]:
-                if succ in alive:
+                if alive[succ]:
+                    degree[succ] -= 1
                     indegree[succ] -= 1
+                    if not indegree[succ]:
+                        heappush(ready, succ)
 
         ordered_txs = [batch[i] for i in order]
         aborted_txs = [batch[i] for i in sorted(aborted)]
         return ordered_txs, aborted_txs
-
-    def observe_commit(self, tx: Transaction, block: int) -> None:
-        """No cross-block state to maintain."""
-        del tx, block
 
 
 class ConflictAwareScheduler:
@@ -126,14 +140,20 @@ class ConflictAwareScheduler:
 
     The ``reorder`` mitigation (see docs/FAILURES.md): like
     :class:`FabricPlusPlusScheduler` it builds the reader-before-writer
-    precedence graph and emits a topological order, so a transaction that
-    merely *reads* a key written later in the same block validates against
-    the pre-block version and survives.  Unlike Fabric++, transactions
-    caught in a dependency cycle (e.g. two updates of the same hot key)
-    are not aborted — the cycle's members are emitted in arrival order,
-    exactly as vanilla Fabric would have committed them.  The mitigation
-    therefore removes avoidable intra-block MVCC conflicts while never
-    rejecting work.
+    precedence graph and emits a topological order, always releasing the
+    earliest-arrived ready transaction, so a transaction that merely
+    *reads* a key written later in the same block validates against the
+    pre-block version and survives.  Unlike Fabric++, nothing is aborted:
+    when no transaction is ready (a dependency cycle remains, e.g. two
+    updates of the same hot key), the earliest-arrived transaction still
+    remaining is released as if it were ready.  That transaction may sit
+    downstream of the cycle rather than on it.  The mitigation therefore
+    removes avoidable intra-block MVCC conflicts while never rejecting
+    work.
+
+    Cost: one step per (reader, writer, shared key) triple to build the
+    graph, O(n log n + edges) for Kahn's algorithm, and O(n) in total for
+    the stalls.
     """
 
     def schedule(
@@ -143,38 +163,28 @@ class ConflictAwareScheduler:
         if len(batch) <= 1:
             return list(batch), []
 
-        successors: dict[int, set[int]] = {i: set() for i in range(len(batch))}
-        reads = [_reads_of(tx) for tx in batch]
-        writes = [_writes_of(tx) for tx in batch]
-        indegree = {i: 0 for i in range(len(batch))}
-        for i in range(len(batch)):
-            for j in range(len(batch)):
-                if i == j:
-                    continue
-                if writes[j] & reads[i]:
-                    # Reader i must precede writer j.
-                    successors[i].add(j)
-                    indegree[j] += 1
-
-        alive = set(range(len(batch)))
+        successors, predecessors = _precedence(batch)
+        n = len(batch)
+        indegree = [len(before) for before in predecessors]
+        alive = [True] * n
+        ready = [i for i in range(n) if not indegree[i]]  # sorted: a heap
+        earliest = 0  # every index below this one has been released
         order: list[int] = []
-        while alive:
-            sources = sorted(i for i in alive if indegree[i] == 0)
-            if sources:
-                node = sources[0]
+        for _ in range(n):
+            if ready:
+                node = heappop(ready)
             else:
-                # A cycle: release its earliest-arrived member unchanged.
-                node = min(alive)
+                while not alive[earliest]:
+                    earliest += 1
+                node = earliest
             order.append(node)
-            alive.discard(node)
+            alive[node] = False
             for succ in successors[node]:
-                if succ in alive:
+                if alive[succ]:
                     indegree[succ] -= 1
+                    if not indegree[succ]:
+                        heappush(ready, succ)
         return [batch[i] for i in order], []
-
-    def observe_commit(self, tx: Transaction, block: int) -> None:
-        """No cross-block state to maintain."""
-        del tx, block
 
 
 class FabricSharpScheduler:
@@ -240,19 +250,12 @@ class FabricSharpScheduler:
         endorsed_at = tx.endorse_time
         if endorsed_at is None:
             return False
-        keys = set(tx.rwset.reads)
-        for query in tx.rwset.range_queries:
-            keys.update(query.keys())
-        for key in keys:
+        for key in tx.rwset.read_keys:
             if key not in self._recent_writes:
                 continue
             if self._write_times[key] >= endorsed_at:
                 return True
         return False
-
-    def observe_commit(self, tx: Transaction, block: int) -> None:
-        """Window bookkeeping happens in :meth:`schedule`; nothing here."""
-        del tx, block
 
 
 def make_scheduler(name: str, window: int = 5) -> Scheduler:
