@@ -13,7 +13,7 @@ actuation seams and records the decision in the
 Determinism: ticks are ordinary kernel events, observables are pure
 functions of kernel-ordered transaction completions, and policies are
 pure functions of observables — so a controller-on run is bit-reproducible
-per (seed, policy, scenario) across replays and kernel tiers.  The
+per (seed, policy, scenario) across replays.  The
 controller never mutates the shared :class:`~repro.fabric.config
 .NetworkConfig`: block cutting is re-sized on the live orderer, the
 mitigation/retry toggles go through network setters, and the rate

@@ -36,7 +36,7 @@ from repro.fabric.results import RunResult, summarize_run
 from repro.fabric.state import StateDatabase
 from repro.fabric.transaction import Transaction, TxRequest, TxStatus
 from repro.fabric.validator import ValidationPipeline, rwset_conflict
-from repro.sim.batch import make_kernel, resolve_kernel_tier
+from repro.sim.kernel import Kernel
 from repro.sim.rng import SimRng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -94,11 +94,7 @@ class FabricNetwork:
                 "request iterable up front and pass a network-only scenario)"
             )
         self.config = config
-        #: The resolved kernel tier ("reference" or "batch"): the config
-        #: wins when set, else the ``REPRO_KERNEL`` environment variable.
-        #: Both tiers are bit-identical (see :mod:`repro.sim.batch`).
-        self.kernel_tier = resolve_kernel_tier(config.kernel_tier)
-        self.kernel = make_kernel(self.kernel_tier)
+        self.kernel = Kernel()
         self.rng = SimRng(config.seed)
         self.conditions = NetworkConditions(config.timing)
         self.policy = parse_policy(config.endorsement_policy)
@@ -112,8 +108,6 @@ class FabricNetwork:
         if stream is not None:
             from repro.logs.stream import StreamingLedger
 
-            if self.kernel_tier == "batch":
-                stream.enable_batch_fanout()
             self.ledger: Ledger = StreamingLedger(stream)  # type: ignore[assignment]
         else:
             self.ledger = Ledger()

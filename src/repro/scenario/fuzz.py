@@ -29,10 +29,6 @@ Oracles (each returns a list of violation strings, empty = pass):
     forensics taxonomy accounts for every failure.
 ``roundtrip``
     Every generated spec must survive JSON serialization unchanged.
-``batch_equivalence``
-    The vectorized batch kernel tier (:mod:`repro.sim.batch`) must
-    reproduce the primary execution bit for bit: identical kernel event
-    trace, identical run digest and identical forensics digest.
 
 Everything is deterministic: the generator derives one private
 ``random.Random`` per (campaign seed, composition index) via SHA-256, so
@@ -78,7 +74,6 @@ ORACLES = (
     "stream_batch",
     "conservation",
     "roundtrip",
-    "batch_equivalence",
     "control_equivalence",
 )
 
@@ -306,20 +301,9 @@ class FuzzHarness:
     def _contracts(self):
         return self._family.deploy().contracts
 
-    def execute(
-        self, spec: ScenarioSpec, kernel_tier: str | None = None
-    ) -> _Execution:
-        """One fresh batch run of ``spec`` over the base workload.
-
-        ``kernel_tier`` forces a specific kernel implementation for the
-        ``batch_equivalence`` oracle; ``None`` keeps the campaign config
-        (and therefore the ``REPRO_KERNEL`` environment default).
-        """
-        config = self.network_config
-        if kernel_tier is not None:
-            config = config.copy()
-            config.kernel_tier = kernel_tier
-        network = FabricNetwork(config, self._contracts(), scenario=spec)
+    def execute(self, spec: ScenarioSpec) -> _Execution:
+        """One fresh batch run of ``spec`` over the base workload."""
+        network = FabricNetwork(self.network_config, self._contracts(), scenario=spec)
         trace = network.kernel.enable_trace()
         network.run(list(self.requests))
         report = forensics_report(network)
@@ -461,51 +445,20 @@ class FuzzHarness:
             violations.append("from_dict(json(to_dict(spec))) != spec")
         return violations
 
-    def check_batch_equivalence(self, spec: ScenarioSpec) -> list[str]:
-        """The batch kernel tier must reproduce the primary run bit for bit.
-
-        The primary execution runs under the campaign's resolved tier
-        (the reference kernel by default); the comparison run forces
-        ``kernel_tier="batch"``.  Under ``REPRO_KERNEL=batch`` both runs
-        use the batch tier, which degrades this oracle to a batch-tier
-        determinism check — the cross-tier comparison then happens in the
-        reference-tier CI leg, where the same corpus digests must hold.
-        """
-        reference = self.primary(spec)
-        batch = self.execute(spec, kernel_tier="batch")
-        violations = []
-        if reference.trace != batch.trace:
-            violations.append("batch-tier kernel event trace diverged from primary")
-        if reference.digest != batch.digest:
-            violations.append(
-                f"batch-tier run digest diverged: {batch.digest[:12]} != "
-                f"{reference.digest[:12]}"
-            )
-        if reference.forensics_digest != batch.forensics_digest:
-            violations.append("batch-tier forensics digest diverged from primary")
-        return violations
-
     def check_control_equivalence(self, spec: ScenarioSpec) -> list[str]:
         """The SLO-guardian controller must preserve the differential invariants.
 
-        Three sub-checks against the composition: a noop-policy controller
+        Two sub-checks against the composition: a noop-policy controller
         reproduces the primary (controller-off) run digest bit for bit —
-        controller *presence* never changes outcomes; a guardian-on run
-        is deterministic across replays (run digest and control-timeline
-        digest both stable); and the batch kernel tier reproduces the
-        guardian-on reference run.  Like ``batch_equivalence``, under
-        ``REPRO_KERNEL=batch`` the last sub-check degrades to a
-        batch-tier determinism check.
+        controller *presence* never changes outcomes; and a guardian-on
+        run is deterministic across replays (run digest and
+        control-timeline digest both stable).
         """
         from repro.control.spec import ControlSpec
 
-        def controlled(
-            policy: str, kernel_tier: str | None = None
-        ) -> tuple[str, str]:
+        def controlled(policy: str) -> tuple[str, str]:
             config = self.network_config.copy()
             config.control = ControlSpec(policy=policy)
-            if kernel_tier is not None:
-                config.kernel_tier = kernel_tier
             network = FabricNetwork(config, self._contracts(), scenario=spec)
             network.run(list(self.requests))
             return run_digest(network), network.controller.timeline.digest()
@@ -522,11 +475,6 @@ class FuzzHarness:
         second = controlled("guardian")
         if first != second:
             violations.append("guardian-on runs diverged across identical replays")
-        batch = controlled("guardian", kernel_tier="batch")
-        if batch != first:
-            violations.append(
-                "guardian-on batch tier diverged from the reference tier"
-            )
         return violations
 
     def run_oracles(self, spec: ScenarioSpec) -> dict[str, list[str]]:
@@ -536,7 +484,6 @@ class FuzzHarness:
             "stream_batch": self.check_stream_batch,
             "conservation": self.check_conservation,
             "roundtrip": self.check_roundtrip,
-            "batch_equivalence": self.check_batch_equivalence,
             "control_equivalence": self.check_control_equivalence,
         }
         return {

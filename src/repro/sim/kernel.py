@@ -26,13 +26,6 @@ object in the last slot is the cancellation handle returned to callers.
 that pops without peeking; it must fire the same events in the same order
 as the bounded loop (``tests/test_hot_path_semantics.py``), and the event
 traces of three canonical runs are pinned in ``tests/golden/``.
-
-This class is the **reference tier**.  :mod:`repro.sim.batch` provides a
-drop-in ``batch`` tier (:class:`~repro.sim.batch.BatchKernel`) that
-stages idle-time schedules in arrays and orders them with one
-``numpy.lexsort`` instead of per-event heap maintenance; it must stay
-bit-identical to this implementation (see :data:`KERNEL_TIERS` and the
-differential harness in ``tests/test_batch_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -40,14 +33,8 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Callable
 
-#: Selectable kernel implementations: the reference event loop here and
-#: the array-staged batch tier in :mod:`repro.sim.batch`.
-KERNEL_TIERS = ("reference", "batch")
-
 #: Priority lane for scenario interventions: strictly before the default
-#: lane (0) at equal timestamps.  Lanes are integers because the batch
-#: tier sorts priorities through an ``int64`` array — a fractional lane
-#: would be silently truncated there and the tiers would diverge.
+#: lane (0) at equal timestamps.
 INTERVENTION_PRIORITY = -3
 
 #: Priority lane for the SLO-guardian controller (:mod:`repro.control`):

@@ -56,8 +56,8 @@ class WeightedSampler:
     generator advances ahead of consumption, so prefetching is only safe
     when this sampler is the stream's **exclusive** consumer.  That holds
     for the endorser pool's dedicated ``endorser-selection`` stream and for
-    the synthetic request generator's per-name streams, which prefetch on
-    every kernel tier.  ``SimRng.zipf_index`` cannot know who else draws
+    the synthetic request generator's per-name streams, which both
+    prefetch.  ``SimRng.zipf_index`` cannot know who else draws
     from its stream, so its samplers never prefetch.
     """
 

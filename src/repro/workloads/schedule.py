@@ -21,7 +21,7 @@ def constant_rate_times(count: int, rate: float, start: float = 0.0) -> list[flo
     """``count`` submit times at a constant ``rate`` (tx/s)."""
     if count < 0:
         raise ValueError(f"negative count {count}")
-    if rate <= 0:
+    if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate}")
     return [start + index / rate for index in range(count)]
 

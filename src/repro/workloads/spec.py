@@ -94,7 +94,7 @@ class ControlVariables:
             raise ValueError(f"tx_dist_skew must be in [0, 1], got {self.tx_dist_skew}")
         if self.total_transactions < 1:
             raise ValueError("need at least one transaction")
-        if self.send_rate <= 0:
+        if not self.send_rate > 0:
             raise ValueError(f"send_rate must be positive, got {self.send_rate}")
         needed = self._min_orgs_for_policy()
         if self.num_orgs < needed:

@@ -5,8 +5,7 @@ policies), the live actuation seams (satellite 1), the shared
 bounded-actuation envelope with the offline recommender (satellite 2),
 and the determinism properties (satellite 3): controller-off runs are
 byte-identical to pre-control builds, controller-on runs are
-deterministic per (seed, policy, scenario) across replays and across
-both kernel tiers.
+deterministic per (seed, policy, scenario) across replays.
 """
 
 from __future__ import annotations
@@ -390,10 +389,9 @@ def test_controller_on_is_deterministic_per_seed_policy_scenario(
 ):
     from repro.analysis.forensics import forensics_report, report_digest
 
-    def run(tier):
+    def run():
         config, family, requests = _bundle(total=250, seed=seed)
         config.control = ControlSpec(policy=policy)
-        config.kernel_tier = tier
         network = FabricNetwork(
             config, family.deploy().contracts, scenario=get_scenario(scenario)
         )
@@ -406,8 +404,6 @@ def test_controller_on_is_deterministic_per_seed_policy_scenario(
             report_digest(forensics_report(network)),
         )
 
-    reference = run("reference")
-    replay = run("reference")
-    batch = run("batch")
+    reference = run()
+    replay = run()
     assert replay == reference, "controller-on replay diverged"
-    assert batch == reference, "kernel tiers diverged under the controller"

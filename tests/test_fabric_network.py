@@ -119,6 +119,14 @@ def test_no_contracts_rejected():
         FabricNetwork(small_config(), [])
 
 
+def test_block_timeout_must_be_positive():
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="block_timeout must be positive"):
+            small_config(block_timeout=bad)
+    # inf means "never cut on timeout" and stays valid.
+    assert small_config(block_timeout=float("inf")).block_timeout == float("inf")
+
+
 def test_determinism_same_seed(counter_contract):
     requests = counter_requests(count=150, rate=300.0)
     _, r1 = run_workload(small_config(), [CounterContract()], list(requests))

@@ -37,11 +37,15 @@ def _drain(kernel: Kernel, mode: str) -> None:
     elif mode == "stepped":
         while kernel.pending():
             kernel.run(max_events=kernel.events_processed + 1)
+    elif mode == "split_until":
+        # Pause mid-run at ``until`` (the next event stays queued), resume.
+        kernel.run(until=1.0)
+        kernel.run()
     else:  # pragma: no cover - test helper misuse
         raise ValueError(mode)
 
 
-BOUNDED_MODES = ("max_events", "until", "stepped")
+BOUNDED_MODES = ("max_events", "until", "stepped", "split_until")
 
 
 def _observe(build, mode: str):

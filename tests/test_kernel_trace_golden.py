@@ -16,8 +16,6 @@ path and the streamed shard path:
 * ``shard_channel0`` — channel 0 of ``plan_shards("default",
   channels=4)`` at 2000 tx, run through the shard runner in stream mode.
 
-The traces must match under either kernel tier (``REPRO_KERNEL``).
-
 Regenerate after an intentional behaviour change::
 
     PYTHONPATH=src python tests/test_kernel_trace_golden.py --regenerate

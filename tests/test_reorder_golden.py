@@ -21,8 +21,6 @@ The three inputs:
 * ``fabricsharp`` — ``scheduler="fabricsharp"`` with small blocks and
   skewed endorsers, so some reads are stale at ordering time.
 
-The runs must match under either kernel tier (``REPRO_KERNEL``).
-
 Regenerate after an intentional behaviour change::
 
     PYTHONPATH=src python tests/test_reorder_golden.py --regenerate

@@ -119,9 +119,9 @@ def test_weighted_sampler_matches_numpy_choice_draw_stream():
 
 
 def test_weighted_sampler_draw_array_matches_numpy_choice_draw_stream():
-    """The vectorized batch draw must consume the identical PCG64 double
-    stream as ``Generator.choice`` scalar calls — the batch kernel tier's
-    endorser selection depends on it (ISSUE 9)."""
+    """The vectorized array draw must consume the identical PCG64 double
+    stream as ``Generator.choice`` scalar calls — prefetching endorser
+    selection depends on it."""
     from repro.sim.rng import WeightedSampler
 
     for n, skew in [(2, 0.0), (3, 1.0), (5, 2.5), (8, 0.3)]:

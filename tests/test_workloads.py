@@ -38,6 +38,8 @@ class TestSchedules:
         with pytest.raises(ValueError):
             constant_rate_times(5, 0.0)
         with pytest.raises(ValueError):
+            constant_rate_times(5, float("nan"))
+        with pytest.raises(ValueError):
             constant_rate_times(-1, 10.0)
 
     def test_phased_times_rates(self):
@@ -121,6 +123,11 @@ class TestControlVariables:
     def test_tx_skew_bounds(self):
         with pytest.raises(ValueError):
             ControlVariables(tx_dist_skew=1.5)
+
+    def test_send_rate_must_be_positive(self):
+        for bad in (0.0, -5.0, float("nan")):
+            with pytest.raises(ValueError, match="send_rate must be positive"):
+                ControlVariables(send_rate=bad)
 
     def test_type_mix_sums_to_one(self):
         for wt in WorkloadType:
