@@ -7,9 +7,11 @@ data-value correlation and (activity-based) proximity correlation — via
 :class:`~repro.logs.blockchain_log.LogRecord` in as it commits, so the
 rule layer (:mod:`repro.core.rules`) only ever looks at precomputed
 values and a run never has to materialize the full log.
-:func:`compute_metrics` is the batch entry point: it feeds a
-:class:`~repro.logs.blockchain_log.BlockchainLog` through the accumulator
-record by record and returns the identical :class:`LogMetrics`.
+:func:`compute_metrics` feeds a
+:class:`~repro.logs.blockchain_log.BlockchainLog`, or a
+:class:`~repro.logs.extract.LedgerRecords` pass over a ledger, through
+the accumulator record by record and returns the identical
+:class:`LogMetrics`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import bisect
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.fabric.transaction import TxStatus, TxType
 from repro.logs.blockchain_log import (
@@ -27,6 +29,9 @@ from repro.logs.blockchain_log import (
     LogRecord,
     interval_index,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.logs.extract import LedgerRecords
 
 
 @dataclass(frozen=True)
@@ -141,9 +146,6 @@ class LogMetrics:
     intra_block_pairs: int
     endorsement_policy: str
 
-    def mean_interval_rate(self) -> float:
-        return sum(self.trd) / len(self.trd) if self.trd else 0.0
-
 
 #: MVCC-like statuses (read-conflict failures the correlation pass tracks).
 _MVCC_LIKE = (TxStatus.MVCC_CONFLICT, TxStatus.PHANTOM_CONFLICT)
@@ -190,7 +192,7 @@ class MetricsAccumulator:
         hotkey_failure_share: float = 0.1,
         hotkey_min_failures: int = 20,
     ) -> None:
-        if interval_seconds <= 0:
+        if not interval_seconds > 0:
             raise ValueError(f"interval must be positive, got {interval_seconds}")
         #: Channel configuration; may be attached after construction (the
         #: streaming ledger only learns it from the genesis block).
@@ -473,28 +475,30 @@ _MISSING = object()
 
 
 def compute_metrics(
-    log: BlockchainLog,
+    log: BlockchainLog | LedgerRecords,
     interval_seconds: float | None = None,
     hotkey_failure_share: float = 0.1,
     hotkey_min_failures: int = 20,
 ) -> LogMetrics:
     """Derive all Section 4.3 metrics from ``log``.
 
-    Thin batch wrapper: feeds the log through a fresh
-    :class:`MetricsAccumulator` record by record.  The hotkey thresholds
-    are passed in (rather than read from
+    Thin wrapper: feeds the log through a fresh :class:`MetricsAccumulator`
+    record by record and reads ``log.config`` after the last one, so a
+    :class:`~repro.logs.extract.LedgerRecords` pass over a ledger gets
+    the same metrics as its extracted log without materializing it.  The
+    hotkey thresholds are passed in (rather than read from
     :class:`~repro.core.thresholds.Thresholds`) so the metric layer stays
     independent of the rule layer.
     """
     ins = interval_seconds if interval_seconds is not None else log.interval_seconds
     accumulator = MetricsAccumulator(
-        config=log.config,
         interval_seconds=ins,
         hotkey_failure_share=hotkey_failure_share,
         hotkey_min_failures=hotkey_min_failures,
     )
     for record in log.records:
         accumulator.consume(record)
+    accumulator.config = log.config
     return accumulator.finish()
 
 

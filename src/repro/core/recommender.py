@@ -9,7 +9,8 @@ and returns a single :class:`AnalysisReport`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from repro.core.metrics import LogMetrics, compute_metrics
@@ -21,7 +22,7 @@ from repro.fabric.network import FabricNetwork
 from repro.logs.blockchain_log import BlockchainLog
 from repro.logs.eventlog import EventLog
 from repro.logs.export import log_from_csv, log_from_json
-from repro.logs.extract import extract_blockchain_log
+from repro.logs.extract import LedgerRecords, extract_blockchain_log
 from repro.mining.dfg import DirectlyFollowsGraph
 from repro.mining.footprint import FootprintMatrix
 from repro.mining.heuristics import DependencyGraph, heuristics_miner
@@ -29,15 +30,50 @@ from repro.mining.heuristics import DependencyGraph, heuristics_miner
 
 @dataclass
 class AnalysisReport:
-    """Everything one BlockOptR run produces."""
+    """Everything one BlockOptR run produces.
 
-    log: BlockchainLog
+    ``metrics`` and ``recommendations`` are computed up front.  The log
+    and the process models derived from it (event log, DFG, heuristics
+    dependency graph, footprint) are built on first access and cached:
+    the recommendation rules read only the metrics, so a caller that
+    never looks at the models never pays for them.
+    """
+
     metrics: LogMetrics
     recommendations: list[Recommendation]
-    event_log: EventLog
-    dfg: DirectlyFollowsGraph
-    dependency_graph: DependencyGraph
-    footprint: FootprintMatrix
+    #: What was analyzed: a log, or a pass over a ledger that does not
+    #: change after the run.
+    source: BlockchainLog | LedgerRecords = field(repr=False)
+    case_attribute: str | None = None
+    dependency_threshold: float = 0.7
+
+    @cached_property
+    def log(self) -> BlockchainLog:
+        """The analyzed log; a ledger's is extracted again on first access."""
+        source = self.source
+        if isinstance(source, BlockchainLog):
+            return source
+        return extract_blockchain_log(
+            source.ledger, interval_seconds=source.interval_seconds
+        )
+
+    @cached_property
+    def event_log(self) -> EventLog:
+        return EventLog.from_blockchain_log(self.log, case_attribute=self.case_attribute)
+
+    @cached_property
+    def dfg(self) -> DirectlyFollowsGraph:
+        return DirectlyFollowsGraph.from_traces(self.event_log.traces())
+
+    @cached_property
+    def dependency_graph(self) -> DependencyGraph:
+        return heuristics_miner(
+            self.event_log.traces(), dependency_threshold=self.dependency_threshold
+        )
+
+    @cached_property
+    def footprint(self) -> FootprintMatrix:
+        return FootprintMatrix.from_dfg(self.dfg)
 
     def by_level(self, level: Level) -> list[Recommendation]:
         return [rec for rec in self.recommendations if rec.level is level]
@@ -73,16 +109,18 @@ class BlockOptR:
 
     def analyze_network(self, network: FabricNetwork) -> AnalysisReport:
         """Analyze a just-run simulated network (reads its ledger)."""
-        log = extract_blockchain_log(
-            network, interval_seconds=self.thresholds.interval_seconds
-        )
-        return self.analyze_log(log)
+        return self.analyze_ledger(network.ledger)
 
     def analyze_ledger(self, ledger: Ledger) -> AnalysisReport:
-        log = extract_blockchain_log(
-            ledger, interval_seconds=self.thresholds.interval_seconds
+        """Analyze a committed ledger in one streamed pass.
+
+        Each record is built, validated and folded into the metrics, then
+        dropped; the report re-extracts the (immutable) ledger only if its
+        log or process models are read.
+        """
+        return self.analyze_log(
+            LedgerRecords(ledger, interval_seconds=self.thresholds.interval_seconds)
         )
-        return self.analyze_log(log)
 
     def analyze_file(self, path: str | Path) -> AnalysisReport:
         """Analyze an exported log (.csv or .json)."""
@@ -95,7 +133,7 @@ class BlockOptR:
             raise ValueError(f"unsupported log format {path.suffix!r}")
         return self.analyze_log(log)
 
-    def analyze_log(self, log: BlockchainLog) -> AnalysisReport:
+    def analyze_log(self, log: BlockchainLog | LedgerRecords) -> AnalysisReport:
         """The Figure 5 pipeline over a preprocessed blockchain log."""
         metrics = compute_metrics(
             log,
@@ -103,20 +141,10 @@ class BlockOptR:
             hotkey_failure_share=self.thresholds.hotkey_failure_share,
             hotkey_min_failures=self.thresholds.hotkey_min_failures,
         )
-        recommendations = evaluate_rules(metrics, self.thresholds)
-        event_log = EventLog.from_blockchain_log(log, case_attribute=self.case_attribute)
-        traces = event_log.traces()
-        dfg = DirectlyFollowsGraph.from_traces(traces)
-        dependency_graph = heuristics_miner(
-            traces, dependency_threshold=self.dependency_threshold
-        )
-        footprint = FootprintMatrix.from_dfg(dfg)
         return AnalysisReport(
-            log=log,
             metrics=metrics,
-            recommendations=recommendations,
-            event_log=event_log,
-            dfg=dfg,
-            dependency_graph=dependency_graph,
-            footprint=footprint,
+            recommendations=evaluate_rules(metrics, self.thresholds),
+            source=log,
+            case_attribute=self.case_attribute,
+            dependency_threshold=self.dependency_threshold,
         )

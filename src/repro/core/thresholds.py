@@ -52,8 +52,10 @@ class Thresholds:
     endorser_mode: str = "fair_share"
 
     def __post_init__(self) -> None:
-        if self.interval_seconds <= 0:
+        if not self.interval_seconds > 0:
             raise ValueError(f"interval_seconds must be positive, got {self.interval_seconds}")
+        if not self.rate_high > 0:
+            raise ValueError(f"rate_high must be positive, got {self.rate_high}")
         for name in (
             "failure_fraction",
             "block_tolerance",

@@ -123,10 +123,6 @@ class Contract:
             return function
         return None
 
-    def has_function(self, activity: str) -> bool:
-        """Whether ``activity`` names a registered contract function."""
-        return self._function(activity) is not None
-
     def invoke(self, ctx: ChaincodeContext, activity: str, args: tuple[Any, ...]) -> Any:
         """Execute ``activity`` with ``args`` against ``ctx``.
 

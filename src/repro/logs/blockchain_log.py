@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 from repro.fabric.transaction import TxStatus, TxType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fabric.ledger import Block
     from repro.fabric.transaction import Transaction
 
 
@@ -104,9 +105,6 @@ class BlockchainLog:
 
     def failed(self) -> list[LogRecord]:
         return [record for record in self.records if record.is_failure]
-
-    def by_status(self, status: TxStatus) -> list[LogRecord]:
-        return [record for record in self.records if record.status is status]
 
     def duration(self) -> float:
         """Span of client timestamps covered by the log."""
@@ -198,6 +196,68 @@ def record_from_transaction(tx: "Transaction", order: int, block_position: int) 
     )
 
 
+#: Channel-configuration defaults for keys no config transaction sets.
+_CONFIG_DEFAULTS: dict[str, object] = {
+    "block_count": 100,
+    "block_timeout": 1.0,
+    "block_bytes": 2 * 1024 * 1024,
+    "endorsement_policy": "",
+}
+
+
+class LedgerReader:
+    """Reads committed blocks, in chain order, as numbered log records.
+
+    The one place that numbers records (``commit_order`` across the
+    ledger, ``block_position`` within the block), validates each with
+    :func:`validate_record`, and folds configuration transactions into
+    :attr:`config` (the last config update wins, mirroring Fabric's
+    semantics).  Batch extraction, the streamed analysis pass and the
+    live :class:`~repro.logs.stream.RunStream` all read through it, so
+    their records are identical.
+    """
+
+    def __init__(self) -> None:
+        #: Channel configuration so far; ``None`` until a config tx is read.
+        self.config: ChannelConfig | None = None
+        self._settings = dict(_CONFIG_DEFAULTS)
+        self._order = 0
+
+    def read_block(self, block: "Block") -> Iterator[tuple[LogRecord, "Transaction"]]:
+        """Yield ``(record, transaction)`` for each data transaction of ``block``."""
+        for position, tx in enumerate(block.transactions):
+            if tx.is_config:
+                self._fold_config(tx)
+                continue
+            yield self.record(tx, position), tx
+
+    def record(self, tx: "Transaction", block_position: int) -> LogRecord:
+        """Build and validate the next record (``block_position`` -1: off-chain)."""
+        order = self._order
+        record = record_from_transaction(tx, order, block_position)
+        validate_record(record, order - 1)
+        self._order = order + 1
+        return record
+
+    def require_config(self) -> ChannelConfig:
+        """The channel configuration; raises if no config tx was read."""
+        if self.config is None:
+            raise ValueError("ledger contains no configuration transaction")
+        return self.config
+
+    def _fold_config(self, tx: "Transaction") -> None:
+        settings = self._settings
+        for key, value in tx.args:
+            if key in settings:
+                settings[key] = value
+        self.config = ChannelConfig(
+            block_count=int(settings["block_count"]),
+            block_timeout=float(settings["block_timeout"]),
+            block_bytes=int(settings["block_bytes"]),
+            endorsement_policy=str(settings["endorsement_policy"]),
+        )
+
+
 def interval_index(timestamp: float, start: float, ins: float) -> int:
     """Index of the ``[start + k*ins, start + (k+1)*ins)`` window holding ``timestamp``.
 
@@ -216,7 +276,7 @@ def interval_index(timestamp: float, start: float, ins: float) -> int:
 def slice_by_interval(log: BlockchainLog, interval_seconds: float | None = None) -> list[LogSlice]:
     """Partition the log into client-timestamp intervals of ``ins`` seconds."""
     ins = interval_seconds if interval_seconds is not None else log.interval_seconds
-    if ins <= 0:
+    if not ins > 0:
         raise ValueError(f"interval must be positive, got {ins}")
     if not log.records:
         return []

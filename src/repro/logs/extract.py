@@ -6,48 +6,22 @@ setup-related transactions``.  Here the ledger object plays the role of
 the fetched chain: configuration transactions yield the
 :class:`~repro.logs.blockchain_log.ChannelConfig` (the paper extracts
 block count/timeout from the log) and are then dropped from the records.
+:class:`LedgerRecords` reads the same records without keeping them, for
+analyses that fold each record in and move on.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from repro.fabric.ledger import Ledger
 from repro.fabric.network import FabricNetwork
 from repro.logs.blockchain_log import (
     BlockchainLog,
     ChannelConfig,
+    LedgerReader,
     LogRecord,
-    record_from_transaction,
 )
-
-
-def _config_from_ledger(ledger: Ledger) -> ChannelConfig:
-    """Recover the channel configuration from config transactions.
-
-    The *last* config transaction wins, mirroring Fabric's config-update
-    semantics.
-    """
-    settings: dict[str, object] = {
-        "block_count": 100,
-        "block_timeout": 1.0,
-        "block_bytes": 2 * 1024 * 1024,
-        "endorsement_policy": "",
-    }
-    found = False
-    for tx in ledger.transactions(include_config=True):
-        if not tx.is_config:
-            continue
-        found = True
-        for key, value in tx.args:
-            if key in settings:
-                settings[key] = value
-    if not found:
-        raise ValueError("ledger contains no configuration transaction")
-    return ChannelConfig(
-        block_count=int(settings["block_count"]),
-        block_timeout=float(settings["block_timeout"]),
-        block_bytes=int(settings["block_bytes"]),
-        endorsement_policy=str(settings["endorsement_policy"]),
-    )
 
 
 def extract_blockchain_log(
@@ -68,18 +42,38 @@ def extract_blockchain_log(
         ledger = source
         early_aborts = []
 
-    config = _config_from_ledger(ledger)
-    records: list[LogRecord] = []
-    order = 0
-    for block in ledger:
-        for position, tx in enumerate(block.transactions):
-            if tx.is_config:
-                continue
-            records.append(record_from_transaction(tx, order, position))
-            order += 1
-    for tx in early_aborts:
-        records.append(record_from_transaction(tx, order, -1))
-        order += 1
-    log = BlockchainLog(records=records, config=config, interval_seconds=interval_seconds)
-    log.validate()
-    return log
+    reader = LedgerReader()
+    records = [record for block in ledger for record, _ in reader.read_block(block)]
+    records.extend(reader.record(tx, -1) for tx in early_aborts)
+    return BlockchainLog(
+        records=records, config=reader.require_config(), interval_seconds=interval_seconds
+    )
+
+
+class LedgerRecords:
+    """A ledger read as a blockchain log in one pass, keeping no records.
+
+    The streamed stand-in for :func:`extract_blockchain_log` that
+    :func:`~repro.core.metrics.compute_metrics` accepts: iterating
+    :attr:`records` yields the same numbered, validated records one at a
+    time and lets each go once the consumer moves on; :attr:`config` is
+    the channel configuration, known once the pass is done.
+    """
+
+    def __init__(self, ledger: Ledger, interval_seconds: float = 1.0) -> None:
+        self.ledger = ledger
+        self.interval_seconds = interval_seconds
+        self._reader = LedgerReader()
+
+    @property
+    def records(self) -> Iterator[LogRecord]:
+        """The records, in commit order (a fresh pass starts a fresh reader)."""
+        self._reader = reader = LedgerReader()
+        for block in self.ledger:
+            for record, _ in reader.read_block(block):
+                yield record
+
+    @property
+    def config(self) -> ChannelConfig:
+        """The channel configuration read by the last pass over :attr:`records`."""
+        return self._reader.require_config()

@@ -33,12 +33,7 @@ from typing import Protocol
 
 from repro.fabric.ledger import Block, Ledger
 from repro.fabric.transaction import Transaction
-from repro.logs.blockchain_log import (
-    ChannelConfig,
-    LogRecord,
-    record_from_transaction,
-    validate_record,
-)
+from repro.logs.blockchain_log import ChannelConfig, LedgerReader, LogRecord
 
 
 class RecordConsumer(Protocol):
@@ -53,33 +48,19 @@ class TransactionConsumer(Protocol):
     def consume(self, tx: Transaction) -> None: ...  # pragma: no cover
 
 
-#: Channel-configuration defaults when the genesis config omits a key —
-#: identical to the batch extraction's defaults.
-_CONFIG_DEFAULTS: dict[str, object] = {
-    "block_count": 100,
-    "block_timeout": 1.0,
-    "block_bytes": 2 * 1024 * 1024,
-    "endorsement_policy": "",
-}
-
-
 class RunStream:
     """Fan-out hub between the committing ledger and streaming consumers.
 
-    Records are emitted in commit order with the same ``commit_order`` /
-    ``block_position`` numbering the batch extraction assigns, so a
-    consumer fed live produces byte-identical results to one fed from
+    Records are read through the same :class:`LedgerReader` the batch
+    extraction uses, so a consumer fed live produces byte-identical
+    results to one fed from
     :func:`~repro.logs.extract.extract_blockchain_log`.
     """
 
     def __init__(self) -> None:
         self.record_consumers: list[RecordConsumer] = []
         self.tx_consumers: list[TransactionConsumer] = []
-        #: Channel configuration captured from config transactions; the
-        #: last config update wins, mirroring Fabric's semantics.
-        self.config: ChannelConfig | None = None
-        self._settings = dict(_CONFIG_DEFAULTS)
-        self._order = 0
+        self._reader = LedgerReader()
         self.records_streamed = 0
         self.aborts_streamed = 0
 
@@ -98,13 +79,7 @@ class RunStream:
         records in, the only references left are the caller's.
         """
         streamed = 0
-        for position, tx in enumerate(block.transactions):
-            if tx.is_config:
-                self._fold_config(tx)
-                continue
-            record = record_from_transaction(tx, self._order, position)
-            validate_record(record, self._order - 1)
-            self._order += 1
+        for record, tx in self._reader.read_block(block):
             streamed += 1
             for consumer in self.record_consumers:
                 consumer.consume(record)
@@ -113,17 +88,11 @@ class RunStream:
         self.records_streamed += streamed
         return streamed
 
-    def _fold_config(self, tx: Transaction) -> None:
-        """Apply one config transaction to the captured channel settings."""
-        for key, value in tx.args:
-            if key in self._settings:
-                self._settings[key] = value
-        self.config = ChannelConfig(
-            block_count=int(self._settings["block_count"]),
-            block_timeout=float(self._settings["block_timeout"]),
-            block_bytes=int(self._settings["block_bytes"]),
-            endorsement_policy=str(self._settings["endorsement_policy"]),
-        )
+    @property
+    def config(self) -> ChannelConfig | None:
+        """Channel configuration captured from config transactions so far;
+        the last config update wins, mirroring Fabric's semantics."""
+        return self._reader.config
 
     def accept_abort(self, tx: Transaction) -> None:
         """Fan out a transaction that aborted before reaching the chain.

@@ -122,7 +122,7 @@ def plan_shards(
         raise ValueError(
             f"{total_transactions} transactions cannot cover {channels} channels"
         )
-    if interval_seconds <= 0:
+    if not interval_seconds > 0:
         raise ValueError(f"interval_seconds must be positive, got {interval_seconds}")
     spec = synthetic_spec(base, seed=seed)  # validates the base name
     org_names = [f"Org{i}" for i in range(1, spec.num_orgs + 1)]

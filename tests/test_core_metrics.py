@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.metrics import compute_metrics, increment_delta
+from repro.core.metrics import MetricsAccumulator, compute_metrics, increment_delta
 from repro.fabric.transaction import TxStatus, TxType
 from repro.logs import BlockchainLog, ChannelConfig, LogRecord
 
@@ -66,6 +66,13 @@ class TestRateMetrics:
         metrics = compute_metrics(make_log(records), interval_seconds=1.0)
         assert metrics.frd[0] == 5.0
         assert metrics.frd[1] == 0.0
+
+    def test_interval_must_be_positive(self):
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="interval must be positive"):
+                MetricsAccumulator(interval_seconds=bad)
+        log = make_log([make_record(i) for i in range(30)])
+        assert compute_metrics(log, interval_seconds=float("inf")).trd == [0.0]
 
 
 class TestFailureMetrics:

@@ -273,11 +273,18 @@ class TestThresholdsValidation:
             {"failure_fraction": 1.5},
             {"block_tolerance": -0.1},
             {"endorser_mode": "nope"},
+            {"interval_seconds": float("nan")},
+            {"rate_high": float("nan")},
+            {"rate_high": -1.0},
         ],
     )
     def test_invalid_thresholds_rejected(self, kwargs):
         with pytest.raises(ValueError):
             Thresholds(**kwargs)
+
+    def test_infinite_interval_and_rate_are_valid(self):
+        inf = float("inf")
+        assert Thresholds(interval_seconds=inf, rate_high=inf).rate_high == inf
 
 
 def test_levels_cover_figure1():

@@ -103,8 +103,10 @@ class TestSlicing:
 
     def test_bad_interval(self):
         log = make_log([make_record(0)])
-        with pytest.raises(ValueError):
-            slice_by_interval(log, 0.0)
+        for bad in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="interval must be positive"):
+                slice_by_interval(log, bad)
+        assert len(slice_by_interval(log, float("inf"))) == 1
 
     def test_empty_log(self):
         assert slice_by_interval(make_log([]), 1.0) == []

@@ -54,10 +54,21 @@ class TestPlanning:
     def test_plan_validation(self):
         with pytest.raises(ValueError, match="cannot cover"):
             plan_shards("default", channels=8, total_transactions=4)
-        with pytest.raises(ValueError, match="interval_seconds"):
-            plan_shards("default", channels=2, total_transactions=100, interval_seconds=0)
+        for bad in (0, float("nan")):
+            with pytest.raises(ValueError, match="interval_seconds must be positive"):
+                plan_shards(
+                    "default", channels=2, total_transactions=100, interval_seconds=bad
+                )
         with pytest.raises(KeyError):
             plan_shards("no_such_base", channels=2, total_transactions=100)
+
+    def test_cli_rejects_nan_interval_before_simulating(self, capsys):
+        from repro.cli import main
+
+        assert main(["shard", "--txs", "100", "--interval", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert "interval_seconds must be positive" in captured.err
+        assert "sharded run" not in captured.out
 
 
 class TestStitching:
