@@ -1,4 +1,4 @@
-"""End-to-end walkthrough: author a scenario, run the suite, read the perf report.
+"""End-to-end walkthrough: author a scenario, run it, run the cached suite.
 
 This is the runnable companion to ``docs/WALKTHROUGH.md``.  It goes
 through the whole loop a contributor touches:
@@ -8,11 +8,9 @@ through the whole loop a contributor touches:
 2. run the same workload steady-state and under the scenario, comparing
    headline numbers;
 3. run a registry experiment through the cached suite executor twice,
-   showing the warm re-run costs zero simulation runs;
-4. run two perf microbenchmarks, write ``BENCH_perf.json``, and ratchet
-   the fresh numbers against it.
+   showing the warm re-run costs zero simulation runs.
 
-Run with:  PYTHONPATH=src python examples/perf_walkthrough.py
+Run with:  PYTHONPATH=src python examples/walkthrough.py
 """
 
 from __future__ import annotations
@@ -23,20 +21,12 @@ from pathlib import Path
 from repro.bench.cache import ResultCache
 from repro.bench.executor import run_suite
 from repro.bench.experiments import make_synthetic
-from repro.bench.perf import (
-    compare_reports,
-    format_comparison,
-    report_from_json,
-    report_to_json,
-    run_benchmarks,
-)
 from repro.bench.registry import select
 from repro.fabric.network import run_workload
 from repro.scenario import ScenarioSpec, run_scenario
 from repro.scenario.spec import Intervention
 
 TXS = 800
-BENCHMARKS = ["kernel_event_churn", "metrics_accumulation"]
 
 
 def step_1_author_scenario() -> ScenarioSpec:
@@ -104,26 +94,12 @@ def step_3_suite_with_cache(cache_dir: Path) -> None:
             )
 
 
-def step_4_perf_ratchet(baseline_path: Path) -> None:
-    """Record a perf baseline, then compare a fresh run against it."""
-    print("\n=== 4. perf baseline + ratchet ===")
-    report = run_benchmarks(BENCHMARKS, warmup=1, trials=3, progress=print)
-    baseline_path.write_text(report_to_json(report))
-    print(f"wrote {baseline_path}")
-
-    fresh = run_benchmarks(BENCHMARKS, warmup=1, trials=3)
-    baseline = report_from_json(baseline_path.read_text())
-    print(format_comparison(compare_reports(baseline, fresh)))
-    print("(exit-1-on-regression form: python -m repro perf --compare BENCH_perf.json)")
-
-
 def main() -> None:
-    """Run all four walkthrough steps in a temporary working directory."""
+    """Run the three walkthrough steps in a temporary working directory."""
     scenario = step_1_author_scenario()
     step_2_run_scenario(scenario)
     with tempfile.TemporaryDirectory(prefix="repro-walkthrough-") as tmp:
         step_3_suite_with_cache(Path(tmp) / "cache")
-        step_4_perf_ratchet(Path(tmp) / "BENCH_perf.json")
     print("\nwalkthrough complete.")
 
 

@@ -21,9 +21,6 @@ Subcommands:
 * ``shard [--channels N] [--txs N]`` — run a streamed multi-channel
   workload with bounded memory, print the stitched summary and its
   digest; ``--check-digest``/``--max-rss-mb`` back the CI smoke step.
-* ``perf [--only ...] [--json BENCH_perf.json] [--compare old.json]`` —
-  run the hot-path microbenchmarks (warmup + repeated trials, median/MAD)
-  and optionally ratchet against a recorded baseline.
 """
 
 from __future__ import annotations
@@ -618,6 +615,14 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
     from repro.shard import plan_shards, run_sharded
 
+    # ``peak > nan`` is always False, so a NaN ceiling would switch the
+    # memory check off; a non-positive one would fail only after the run.
+    if args.max_rss_mb is not None and not args.max_rss_mb > 0:
+        print(
+            f"error: --max-rss-mb must be positive, got {args.max_rss_mb}",
+            file=sys.stderr,
+        )
+        return 2
     expected_digest = None
     if args.check_digest:
         try:
@@ -707,106 +712,6 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         )
         failed = True
     return 1 if failed else 0
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.bench.perf import (
-        benchmark_names,
-        compare_reports,
-        format_comparison,
-        report_from_json,
-        report_to_json,
-        run_benchmarks,
-    )
-    from repro.bench.perf.compare import digest_changes, regressions
-    from repro.bench.perf.runner import NondeterministicBenchmarkError
-
-    if args.list:
-        from repro.bench.perf import all_benchmarks
-
-        for bench in all_benchmarks():
-            print(f"{bench.name:<24} {bench.description}")
-        return 0
-    names = args.only.split(",") if args.only else None
-    if names is not None:
-        unknown = sorted(set(names) - set(benchmark_names()))
-        if unknown:
-            print(
-                f"error: unknown benchmark(s) {', '.join(unknown)}; "
-                f"valid: {', '.join(benchmark_names())}",
-                file=sys.stderr,
-            )
-            return 2
-
-    # Validate everything that can fail *before* the (potentially long)
-    # benchmark run: threshold, the --json destination, and the baseline.
-    if args.threshold <= 0:
-        print(
-            f"error: --threshold must be positive, got {args.threshold}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.json and not Path(args.json).parent.exists():
-        print(
-            f"error: directory for --json does not exist: {Path(args.json).parent}",
-            file=sys.stderr,
-        )
-        return 2
-    # The baseline is read *before* anything is written: `--json X
-    # --compare X` must ratchet against the recorded numbers, not against
-    # the report this very invocation is about to produce.
-    baseline = None
-    if args.compare:
-        try:
-            baseline = report_from_json(Path(args.compare).read_text())
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-
-    try:
-        report = run_benchmarks(
-            names,
-            warmup=args.warmup,
-            trials=args.trials,
-            progress=None if args.quiet else print,
-        )
-    except NondeterministicBenchmarkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        try:
-            Path(args.json).write_text(report_to_json(report))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {args.json} ({len(report.results)} benchmarks)")
-
-    if baseline is not None:
-        deltas = compare_reports(baseline, report, threshold=args.threshold)
-        print(format_comparison(deltas))
-        regressed = regressions(deltas)
-        changed = digest_changes(deltas)
-        if regressed:
-            print(
-                f"{len(regressed)} regression(s) beyond "
-                f"{args.threshold:.0%} + noise floor",
-                file=sys.stderr,
-            )
-        if changed:
-            print(
-                f"{len(changed)} benchmark(s) changed their measured-code "
-                "digest; timings are not comparable — regenerate the "
-                "baseline with --json if the change is intentional",
-                file=sys.stderr,
-            )
-        if regressed or changed:
-            return 1
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1259,56 +1164,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shard.set_defaults(func=_cmd_shard)
 
-    perf = sub.add_parser(
-        "perf",
-        help="run hot-path microbenchmarks; ratchet against a baseline",
-        description=(
-            "Run the repro.bench.perf microbenchmarks (kernel event churn, "
-            "pipeline round trip, metrics accumulation, event-log "
-            "derivation, full small experiment) with warmup + repeated "
-            "trials, reporting median and MAD per benchmark. --json "
-            "records a BENCH_perf.json baseline; --compare checks the "
-            "current numbers against a recorded one and exits 1 on "
-            "regression."
-        ),
-    )
-    perf.add_argument(
-        "--only",
-        default=None,
-        metavar="NAMES",
-        help="comma-separated benchmark names (default: all; see --list)",
-    )
-    perf.add_argument(
-        "--json",
-        default=None,
-        metavar="FILE",
-        help="write the report as JSON (the BENCH_perf.json baseline)",
-    )
-    perf.add_argument(
-        "--compare",
-        default=None,
-        metavar="FILE",
-        help="compare against a recorded baseline report; exit 1 on regression",
-    )
-    perf.add_argument(
-        "--trials", type=int, default=5, help="timed trials per benchmark (default 5)"
-    )
-    perf.add_argument(
-        "--warmup", type=int, default=1, help="untimed warmup rounds (default 1)"
-    )
-    perf.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="slowdown tolerated before --compare flags a regression (default 0.25)",
-    )
-    perf.add_argument(
-        "--list", action="store_true", help="list registered benchmarks and exit"
-    )
-    perf.add_argument(
-        "--quiet", action="store_true", help="suppress per-benchmark progress lines"
-    )
-    perf.set_defaults(func=_cmd_perf)
     return parser
 
 

@@ -33,7 +33,7 @@ class SLOTargets:
             raise ValueError(
                 f"max_abort_rate must be in [0, 1], got {self.max_abort_rate!r}"
             )
-        if self.max_p95_latency <= 0:
+        if not self.max_p95_latency > 0:
             raise ValueError(
                 f"max_p95_latency must be positive, got {self.max_p95_latency!r}"
             )
@@ -68,7 +68,7 @@ class ControlSpec:
             raise ValueError(
                 f"unknown control policy {self.policy!r}; known: {', '.join(POLICIES)}"
             )
-        if self.interval <= 0:
+        if not self.interval > 0:
             raise ValueError(f"interval must be positive, got {self.interval!r}")
 
     def to_dict(self) -> dict:

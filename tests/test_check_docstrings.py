@@ -21,7 +21,7 @@ def test_default_scope_is_clean():
 def test_scope_covers_all_package_inits_and_named_modules():
     inits = check_docstrings.package_inits()
     assert any(path.match("*/repro/__init__.py") for path in inits)
-    assert any(path.match("*/bench/perf/__init__.py") for path in inits)
+    assert any(path.match("*/repro/bench/__init__.py") for path in inits)
     names = {path.name for path in check_docstrings.DEFAULT_SCOPE}
     assert {"kernel.py", "executor.py", "engine.py", "runner.py"} <= names
 

@@ -144,10 +144,30 @@ def test_control_spec_validation_and_roundtrip():
         ControlSpec(policy="nope")
     with pytest.raises(ValueError):
         ControlSpec(interval=0.0)
+    with pytest.raises(ValueError, match="interval must be positive"):
+        ControlSpec(interval=float("nan"))
     with pytest.raises(ValueError):
         SLOTargets(max_abort_rate=1.5)
+    with pytest.raises(ValueError, match="max_p95_latency must be positive"):
+        SLOTargets(max_p95_latency=float("nan"))
+    assert ControlSpec(interval=float("inf")).interval == float("inf")
+    assert SLOTargets(max_p95_latency=float("inf")).max_p95_latency == float("inf")
     with pytest.raises(ValueError):
         NetworkConfig(control="guardian")  # type: ignore[arg-type]
+
+
+def test_cli_control_rejects_nan_interval_before_simulating(capsys, monkeypatch):
+    import repro.fabric.network
+    from repro.cli import main
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated despite an invalid --interval")
+
+    monkeypatch.setattr(repro.fabric.network, "run_workload", no_run)
+    assert main(["control", "--txs", "100", "--interval", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert "interval must be positive" in captured.err
+    assert "scenario:" not in captured.out
 
 
 # -- policies -----------------------------------------------------------------------

@@ -92,7 +92,7 @@ class TestCliReference:
 
     def test_reference_documents_every_subcommand_and_new_flags(self):
         text = generate_cli_md.generate_text()
-        for command in ("analyze", "export", "demo", "suite", "scenario", "perf"):
+        for command in ("analyze", "export", "demo", "suite", "scenario"):
             assert f"## {command}" in text
         assert "--cached EXP_ID" in text
         assert "--mitigation" in text

@@ -70,6 +70,15 @@ class TestPlanning:
         assert "interval_seconds must be positive" in captured.err
         assert "sharded run" not in captured.out
 
+    @pytest.mark.parametrize("ceiling", ["nan", "0", "-5"])
+    def test_cli_rejects_non_positive_max_rss_before_simulating(self, capsys, ceiling):
+        from repro.cli import main
+
+        assert main(["shard", "--txs", "100", "--max-rss-mb", ceiling]) == 2
+        captured = capsys.readouterr()
+        assert "--max-rss-mb must be positive" in captured.err
+        assert "sharded run" not in captured.out
+
 
 class TestStitching:
     @pytest.fixture(scope="class")
